@@ -25,15 +25,19 @@
 //     final multiplet is validated by an X-masking consistency check that
 //     treats every candidate site as simultaneously unknown.
 //
-// The main entry point is Diagnose.
+// The main entry point is Diagnose. The engine has one pipeline,
+// DiagnoseBatch (batch.go), which diagnoses any number of datalogs of one
+// (circuit, test set) workload in one pass; Diagnose and DiagnoseCtx run
+// it on a batch of one.
 package core
 
 import (
+	"cmp"
 	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -48,7 +52,6 @@ import (
 	"multidiag/internal/prof"
 	"multidiag/internal/sim"
 	"multidiag/internal/tester"
-	"multidiag/internal/trace"
 )
 
 // Config tunes the diagnosis engine. The zero value selects the published
@@ -272,266 +275,14 @@ func Diagnose(c *netlist.Circuit, pats []sim.Pattern, log *tester.Datalog, cfg C
 // DiagnoseCtx is Diagnose under a context: cancellation (or a deadline)
 // is observed between phases and between candidate-scoring chunks, and
 // surfaces as a wrapped ErrCanceled. The result is bit-identical to
-// Diagnose when the context never fires.
+// Diagnose when the context never fires. It runs DiagnoseBatch on a
+// batch of one.
 func DiagnoseCtx(ctx context.Context, c *netlist.Circuit, pats []sim.Pattern, log *tester.Datalog, cfg Config) (*Result, error) {
-	cfg.fill()
-	tr := cfg.Trace
-	if tr == nil {
-		tr = obs.Global()
-	}
-	root := tr.Span("diagnose")
-	// Request-scoped span tree, if the context carries one. Phase spans
-	// below mirror the obs span taxonomy so aggregate timings and a single
-	// request's tree attribute the same names. Every handle is inert when
-	// the context carries no tree (the allocation-free disabled path).
-	troot := trace.FromContext(ctx).Start("diagnose")
-	defer troot.End() // first End wins, so the success path's End below is the one recorded
-	reg := tr.Registry()
-	if log.NumPatterns != len(pats) {
-		return nil, fmt.Errorf("core: datalog has %d patterns, test set has %d", log.NumPatterns, len(pats))
-	}
-	if log.NumPOs != len(c.POs) {
-		return nil, fmt.Errorf("core: datalog has %d POs, circuit has %d", log.NumPOs, len(c.POs))
-	}
-
-	res := &Result{Consistent: true}
-	failing := log.FailingPatterns()
-	if len(failing) == 0 {
-		root.EndInto(&res.Elapsed)
-		return res, nil // passing device: nothing to explain
-	}
-
-	rec := cfg.Explain
-
-	// Per-output evidence universe. Each phase below also opens a prof
-	// window (inert unless a prof collector is installed): the returned
-	// context carries the phase=<name> pprof label, and End folds the
-	// phase's runtime/metrics deltas into the attribution table.
-	sp := root.Child("evidence")
-	tsp := troot.Start("evidence")
-	_, pt := prof.PhaseCtx(ctx, "evidence")
-	evIndex := make(map[EvidenceBit]int)
-	for _, p := range failing {
-		for _, po := range log.Fails[p].Members() {
-			bit := EvidenceBit{Pattern: p, PO: po}
-			evIndex[bit] = len(res.Evidence)
-			res.Evidence = append(res.Evidence, bit)
-		}
-	}
-	tsp.SetInt("evidence_bits", int64(len(res.Evidence)))
-	tsp.SetInt("failing_patterns", int64(len(failing)))
-	pt.End()
-	tsp.End()
-	sp.End()
-	if rec.Enabled() {
-		bits := make([]explain.Bit, len(res.Evidence))
-		for i, b := range res.Evidence {
-			bits[i] = explain.Bit{Pattern: b.Pattern, PO: b.PO}
-		}
-		rec.Evidence(bits)
-	}
-	reg.Counter("core.evidence_bits").Add(int64(len(res.Evidence)))
-	reg.Counter("core.failing_patterns").Add(int64(len(failing)))
-
-	sp = root.Child("goodsim")
-	tsp = troot.Start("goodsim")
-	_, pt = prof.PhaseCtx(ctx, "goodsim")
-	fs := cfg.SharedSim
-	if fs != nil && (fs.Circuit() != c || fs.NumPatterns() != len(pats)) {
-		fs = nil // shape mismatch: fall back to a private simulator
-	}
-	var err error
-	if fs == nil {
-		fs, err = fsim.NewFaultSim(c, pats)
-	}
-	pt.End()
-	tsp.End()
-	sp.End()
+	results, errs, err := DiagnoseBatch(ctx, c, pats, []*tester.Datalog{log}, cfg)
 	if err != nil {
 		return nil, err
 	}
-	fs.Observe(reg)
-	if cfg.ConeCache != nil && !fs.AttachCache(cfg.ConeCache) {
-		reg.Counter("fsim.cone_cache_rejected").Inc()
-	}
-	if err := checkpoint(ctx, "goodsim"); err != nil {
-		return nil, err
-	}
-
-	workers := fsim.Workers(cfg.Workers)
-
-	// Step 1: effect-cause candidate extraction via CPT per failing output.
-	// Failing patterns are independent back-traces, so they shard across
-	// forked tracers; the union is merged in pattern order (and sorted), so
-	// the seed list is identical at any worker count.
-	sp = root.Child("extract")
-	tsp = troot.Start("extract")
-	ectx, pt := prof.PhaseCtx(ctx, "extract")
-	cpt := fsim.NewCPT(c)
-	cpt.Observe(reg)
-	seeds, err := extractCandidates(ectx, c, cpt, pats, log, cfg.ApproxCPT, workers, rec)
-	tsp.SetInt("seeds", int64(len(seeds)))
-	pt.End()
-	tsp.End()
-	sp.End()
-	if err != nil {
-		return nil, err
-	}
-	res.CandidatesExtracted = len(seeds)
-	reg.Counter("core.candidates_extracted").Add(int64(len(seeds)))
-	if err := checkpoint(ctx, "extract"); err != nil {
-		return nil, err
-	}
-
-	// Step 2: score every candidate by cone-limited fault simulation. The
-	// simulations are independent, so the seed list shards across the
-	// worker pool in contiguous chunks (fsim.parallel span); each chunk's
-	// syndromes are folded — on this goroutine, strictly in seed order —
-	// as soon as the chunk completes, then released back to the
-	// simulator's arena. Seed-order folding keeps every downstream
-	// decision — equivalence classes, cover tie-breaks, ranking —
-	// bit-identical to the sequential engine; chunk-wise folding keeps the
-	// live syndrome count (and the allocator) bounded by the worker pool
-	// rather than the seed count.
-	sp = root.Child("score")
-	tsp = troot.Start("score")
-	// The score window's labeled context flows into the worker pool, so
-	// worker goroutines inherit phase=score (and any workload label) and
-	// their allocations land in this window's delta.
-	pctx, pt := prof.PhaseCtx(ctx, "score")
-	tsp.SetInt("workers", int64(workers))
-	reg.Gauge("fsim.workers").Set(int64(workers))
-	psp := sp.Child("fsim.parallel")
-	tpsp := tsp.Start("fsim.parallel")
-	folder := newScoreFolder(c, fs, seeds, log, evIndex, len(res.Evidence), cfg, rec, true)
-	fs.SimulateStuckAtChunksCtx(trace.WithSpan(pctx, tpsp), seeds, workers, func(start int, syns []*fsim.Syndrome) {
-		for i, syn := range syns {
-			folder.fold(start+i, syn)
-		}
-	})
-	tpsp.End()
-	psp.End()
-	if err := checkpoint(ctx, "score"); err != nil {
-		pt.End()
-		tsp.End()
-		sp.End()
-		return nil, err
-	}
-	cands := folder.finish()
-	tsp.SetInt("candidates", int64(len(cands)))
-	pt.End()
-	tsp.End()
-	sp.End()
-	reg.Counter("core.candidates_scored").Add(int64(len(cands)))
-	reg.Counter("core.candidates_pruned").Add(int64(len(seeds) - len(cands)))
-
-	// Steps 3–5 plus ranking (shared with DiagnoseBatch).
-	if err := finishDiagnosis(ctx, root, troot, c, fs, log, evIndex, cands, res, cfg, reg, rec); err != nil {
-		return nil, err
-	}
-	troot.SetInt("multiplet", int64(len(res.Multiplet)))
-	troot.End()
-	root.EndInto(&res.Elapsed)
-	return res, nil
-}
-
-// finishDiagnosis runs the post-scoring pipeline — greedy per-output
-// covering, fault-model refinement, the X-masking consistency check and
-// the final ranking — filling res in place. It is shared by DiagnoseCtx
-// and DiagnoseBatch so coalesced diagnoses cannot drift from the
-// single-device engine.
-func finishDiagnosis(ctx context.Context, root obs.Span, troot trace.Span, c *netlist.Circuit, fs *fsim.FaultSim, log *tester.Datalog, evIndex map[EvidenceBit]int, cands []*Candidate, res *Result, cfg Config, reg *obs.Registry, rec *explain.Recorder) error {
-	// Step 3: greedy per-output covering.
-	sp := root.Child("cover")
-	tsp := troot.Start("cover")
-	_, pt := prof.PhaseCtx(ctx, "cover")
-	multiplet, uncovered := cover(c, cands, len(res.Evidence), cfg, rec)
-	tsp.SetInt("multiplet", int64(len(multiplet)))
-	tsp.SetInt("uncovered", int64(uncovered.Count()))
-	pt.End()
-	tsp.End()
-	sp.End()
-	res.Multiplet = multiplet
-	res.UnexplainedBits = uncovered.Count()
-	reg.Histogram("core.multiplet_size").Observe(int64(len(multiplet)))
-	reg.Counter("core.unexplained_bits").Add(int64(res.UnexplainedBits))
-	if err := checkpoint(ctx, "cover"); err != nil {
-		return err
-	}
-
-	// Step 4: fault-model refinement (bridge aggressor search).
-	if !cfg.DisableBridgeSearch {
-		sp = root.Child("refine")
-		tsp = troot.Start("refine")
-		_, pt = prof.PhaseCtx(ctx, "refine")
-		refineModels(c, fs, multiplet, log, evIndex, cfg, reg, rec)
-		pt.End()
-		tsp.End()
-		sp.End()
-		if err := checkpoint(ctx, "refine"); err != nil {
-			return err
-		}
-	} else if rec.Enabled() {
-		for _, cd := range multiplet {
-			rec.Refine(cd.Fault.String(), cd.Name(c), stuckModelFit(cd), explain.VerdictSkipped)
-		}
-	}
-
-	// Step 5: X-masking consistency check.
-	if !cfg.DisableXConsistency && len(multiplet) > 0 {
-		sp = root.Child("xcheck")
-		tsp = troot.Start("xcheck")
-		_, pt = prof.PhaseCtx(ctx, "xcheck")
-		res.Consistent, res.InconsistentPatterns = xConsistent(fs, multiplet, log)
-		pt.End()
-		tsp.End()
-		sp.End()
-		if !res.Consistent {
-			reg.Counter("core.xcheck_inconsistent").Inc()
-		}
-		if rec.Enabled() {
-			verdict := explain.VerdictConsistent
-			if !res.Consistent {
-				verdict = explain.VerdictInconsistent
-			}
-			for _, cd := range multiplet {
-				rec.XCheck(cd.Fault.String(), cd.Name(c), verdict, res.InconsistentPatterns)
-			}
-		}
-	} else if len(multiplet) == 0 {
-		res.Consistent = false
-	} else if rec.Enabled() {
-		for _, cd := range multiplet {
-			rec.XCheck(cd.Fault.String(), cd.Name(c), explain.VerdictSkipped, nil)
-		}
-	}
-
-	// Final ranking: multiplet members first (selection order), then the
-	// rest by (TFSF desc, TPSF asc, net id).
-	inMult := map[*Candidate]bool{}
-	for _, m := range multiplet {
-		inMult[m] = true
-	}
-	rest := make([]*Candidate, 0, len(cands))
-	for _, cd := range cands {
-		if !inMult[cd] {
-			rest = append(rest, cd)
-		}
-	}
-	sort.Slice(rest, func(i, j int) bool {
-		if rest[i].TFSF != rest[j].TFSF {
-			return rest[i].TFSF > rest[j].TFSF
-		}
-		if rest[i].TPSF != rest[j].TPSF {
-			return rest[i].TPSF < rest[j].TPSF
-		}
-		if rest[i].Fault.Net != rest[j].Fault.Net {
-			return rest[i].Fault.Net < rest[j].Fault.Net
-		}
-		return !rest[i].Fault.Value1
-	})
-	res.Ranked = append(append([]*Candidate{}, multiplet...), rest...)
-	return nil
+	return results[0], errs[0]
 }
 
 // extractJob is one failing pattern's back-trace work item.
@@ -542,18 +293,18 @@ type extractJob struct {
 }
 
 // extractCandidates back-traces every observed failing output with CPT and
-// returns the union of (net, stuck-at-complement) hypotheses. Patterns with
-// X inputs are skipped for extraction (they still participate in scoring).
-// With a recorder attached it also attributes every hypothesis to the
-// failing bits whose back-cone yielded it — per (pattern, PO) on the exact
-// path, per pattern (PO −1) on the approximate path, which only reports
-// the per-pattern union.
+// returns the union of (net, stuck-at-complement) hypotheses, sorted by
+// compareFaults. Patterns with X inputs are skipped for extraction (they
+// still participate in scoring). With a recorder attached it also
+// attributes every hypothesis to the failing bits whose back-cone yielded
+// it — per (pattern, PO) on the exact path, per pattern (PO −1) on the
+// approximate path, which only reports the per-pattern union.
 //
 // Failing patterns are independent traces, so with workers > 1 they shard
 // across forked tracers. Per-pattern hypothesis sets are merged in pattern
-// order and the union is sorted by (net, polarity) regardless, so the seed
-// list is identical at any worker count. The recorder path stays
-// sequential: bit attribution must observe patterns in order.
+// order and the union is sorted regardless, so the seed list is identical
+// at any worker count. With a recorder attached the traces run in order on
+// one tracer: bit attribution must observe patterns in order.
 func extractCandidates(ctx context.Context, c *netlist.Circuit, cpt *fsim.CPT, pats []sim.Pattern, log *tester.Datalog, approx bool, workers int, rec *explain.Recorder) ([]fault.StuckAt, error) {
 	var jobs []extractJob
 	for _, p := range log.FailingPatterns() {
@@ -575,18 +326,39 @@ func extractCandidates(ctx context.Context, c *netlist.Circuit, cpt *fsim.CPT, p
 		jobs = append(jobs, extractJob{p: p, pos: pos, poIdxs: poIdxs})
 	}
 
+	attribute := rec.Enabled()
 	seen := make(map[fault.StuckAt]bool)
 	var out []fault.StuckAt
 	var sources map[fault.StuckAt][]explain.Bit
-	if rec.Enabled() {
+	if attribute {
 		sources = make(map[fault.StuckAt][]explain.Bit)
+	}
+	merge := func(r *traced) {
+		for k, f := range r.hyps {
+			if !seen[f] {
+				seen[f] = true
+				out = append(out, f)
+			}
+			if attribute {
+				sources[f] = append(sources[f], r.bits[k]...)
+			}
+		}
 	}
 
 	if workers > len(jobs) {
 		workers = len(jobs)
 	}
-	if workers > 1 && !rec.Enabled() {
-		perJob := make([][]fault.StuckAt, len(jobs))
+	if workers <= 1 || attribute {
+		// Merged as traced, so one result's buffers serve every job.
+		var r traced
+		for _, j := range jobs {
+			if err := traceJob(c, cpt, pats, j, approx, attribute, &r); err != nil {
+				return nil, err
+			}
+			merge(&r)
+		}
+	} else {
+		perJob := make([]traced, len(jobs))
 		errs := make([]error, len(jobs))
 		var next atomic.Int64
 		var wg sync.WaitGroup
@@ -604,8 +376,7 @@ func extractCandidates(ctx context.Context, c *netlist.Circuit, cpt *fsim.CPT, p
 						if ji >= len(jobs) {
 							return
 						}
-						perJob[ji], errs[ji] = traceJob(c, t, pats, jobs[ji], approx)
-						if errs[ji] != nil {
+						if errs[ji] = traceJob(c, t, pats, jobs[ji], approx, false, &perJob[ji]); errs[ji] != nil {
 							return
 						}
 					}
@@ -613,67 +384,15 @@ func extractCandidates(ctx context.Context, c *netlist.Circuit, cpt *fsim.CPT, p
 			}(wk, t)
 		}
 		wg.Wait()
-		for ji := range jobs {
+		for ji := range perJob {
 			if errs[ji] != nil {
 				return nil, errs[ji]
 			}
-			for _, f := range perJob[ji] {
-				if !seen[f] {
-					seen[f] = true
-					out = append(out, f)
-				}
-			}
-		}
-	} else {
-		for _, j := range jobs {
-			var (
-				union []bool
-				per   [][]bool
-				vals  []logic.Value
-				err   error
-			)
-			if approx {
-				union, vals, err = cpt.CriticalApproxForOutputs(pats[j.p], j.pos)
-			} else {
-				union, per, vals, err = cpt.CriticalForOutputs(pats[j.p], j.pos)
-			}
-			if err != nil {
-				return nil, err
-			}
-			for id, cr := range union {
-				if !cr {
-					continue
-				}
-				n := netlist.NetID(id)
-				if !vals[n].IsKnown() {
-					continue
-				}
-				f := fault.StuckAt{Net: n, Value1: vals[n] == logic.Zero}
-				if !seen[f] {
-					seen[f] = true
-					out = append(out, f)
-				}
-				if sources != nil {
-					if per == nil {
-						sources[f] = append(sources[f], explain.Bit{Pattern: j.p, PO: -1})
-					} else {
-						for i, crit := range per {
-							if crit[n] {
-								sources[f] = append(sources[f], explain.Bit{Pattern: j.p, PO: j.poIdxs[i]})
-							}
-						}
-					}
-				}
-			}
+			merge(&perJob[ji])
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Net != out[j].Net {
-			return out[i].Net < out[j].Net
-		}
-		return !out[i].Value1 && out[j].Value1
-	})
-	if rec.Enabled() {
+	slices.SortFunc(out, compareFaults)
+	if attribute {
 		for _, f := range out {
 			rec.Extract(f.String(), f.Name(c), sources[f])
 		}
@@ -681,23 +400,33 @@ func extractCandidates(ctx context.Context, c *netlist.Circuit, cpt *fsim.CPT, p
 	return out, nil
 }
 
-// traceJob back-traces one failing pattern on tracer t and returns its
-// hypothesis set (copied out of the tracer's scratch).
-func traceJob(c *netlist.Circuit, t *fsim.CPT, pats []sim.Pattern, j extractJob, approx bool) ([]fault.StuckAt, error) {
+// traced is one failing pattern's back-trace result.
+type traced struct {
+	hyps []fault.StuckAt
+	bits [][]explain.Bit // bits[k]: the failing bits behind hyps[k], recorder only
+	flat []explain.Bit   // backs bits; traceJob never rewrites an element it handed out
+}
+
+// traceJob back-traces one failing pattern on tracer t into r, reusing r's
+// buffers (the hypotheses are copied out of the tracer's scratch). With
+// attribute set it also attributes every hypothesis to the failing bits
+// whose back-cone yielded it.
+func traceJob(c *netlist.Circuit, t *fsim.CPT, pats []sim.Pattern, j extractJob, approx, attribute bool, r *traced) error {
 	var (
 		union []bool
+		per   [][]bool
 		vals  []logic.Value
 		err   error
 	)
 	if approx {
 		union, vals, err = t.CriticalApproxForOutputs(pats[j.p], j.pos)
 	} else {
-		union, _, vals, err = t.CriticalForOutputs(pats[j.p], j.pos)
+		union, per, vals, err = t.CriticalForOutputs(pats[j.p], j.pos)
 	}
 	if err != nil {
-		return nil, err
+		return err
 	}
-	var out []fault.StuckAt
+	r.hyps, r.bits, r.flat = r.hyps[:0], r.bits[:0], r.flat[:0]
 	for id, cr := range union {
 		if !cr {
 			continue
@@ -706,9 +435,37 @@ func traceJob(c *netlist.Circuit, t *fsim.CPT, pats []sim.Pattern, j extractJob,
 		if !vals[n].IsKnown() {
 			continue
 		}
-		out = append(out, fault.StuckAt{Net: n, Value1: vals[n] == logic.Zero})
+		r.hyps = append(r.hyps, fault.StuckAt{Net: n, Value1: vals[n] == logic.Zero})
+		if !attribute {
+			continue
+		}
+		from := len(r.flat)
+		if per == nil {
+			r.flat = append(r.flat, explain.Bit{Pattern: j.p, PO: -1})
+		}
+		for i, crit := range per {
+			if crit[n] {
+				r.flat = append(r.flat, explain.Bit{Pattern: j.p, PO: j.poIdxs[i]})
+			}
+		}
+		r.bits = append(r.bits, r.flat[from:])
 	}
-	return out, nil
+	return nil
+}
+
+// compareFaults orders hypotheses by (net, polarity), stuck-at-0 first:
+// the order of every device's seed list, and of the union a batch scores.
+func compareFaults(a, b fault.StuckAt) int {
+	if a.Net != b.Net {
+		return cmp.Compare(a.Net, b.Net)
+	}
+	switch {
+	case a.Value1 == b.Value1:
+		return 0
+	case b.Value1:
+		return -1
+	}
+	return 1
 }
 
 // evLookup resolves an observed (pattern, PO) pair to its evidence index.
@@ -748,31 +505,30 @@ func (l *evLookup) get(p, po int) (int, bool) {
 	return idx, ok
 }
 
-// scoreFolder folds syndromes — strictly in seed order — into scored
-// equivalence-class candidates. Seeds with identical syndromes under this
-// test set merge into one candidate (they are indistinguishable by any
-// scoring that follows); folding in seed order keeps class representatives
-// and candidate order independent of how the simulation batch was
-// scheduled, so the chunked parallel engine and the sequential loop yield
-// byte-identical reports.
+// scoreFolder folds one device's syndromes — strictly in its seed order —
+// into scored equivalence-class candidates. Seeds with identical syndromes
+// under this test set merge into one candidate (they are
+// indistinguishable by any scoring that follows); folding in seed order
+// keeps class representatives and candidate order independent of how the
+// simulation was scheduled and of which other devices shared the scoring
+// pass, so every worker count and batch composition yields byte-identical
+// reports.
 //
 // The folder owns all per-seed scratch: the class-signature byte buffer
 // (pattern index + raw failing-set words, looked up with the
 // map[string]-on-[]byte idiom), a member-enumeration slice, and one
 // coverage bitset that is only cloned for seeds that found a new,
-// non-pruned class. With releaseSyns set, every folded syndrome is handed
-// back to the simulator's arena, so a scoring pass keeps O(workers ×
-// chunk) syndromes live instead of O(seeds).
+// non-pruned class. It never retains a syndrome, so the caller may release
+// each one to the simulator's arena once every folder has seen it.
 type scoreFolder struct {
-	c           *netlist.Circuit
-	fs          *fsim.FaultSim
-	seeds       []fault.StuckAt
-	log         *tester.Datalog
-	ev          evLookup
-	numEv       int
-	cfg         Config
-	rec         *explain.Recorder
-	releaseSyns bool
+	c     *netlist.Circuit
+	seeds []fault.StuckAt
+	next  int // index into seeds of the next seed fold accepts
+	log   *tester.Datalog
+	ev    evLookup
+	numEv int
+	cfg   Config
+	rec   *explain.Recorder
 
 	cands   []*Candidate
 	classes map[string]*Candidate
@@ -781,30 +537,34 @@ type scoreFolder struct {
 	cov     bitset.Set
 }
 
-func newScoreFolder(c *netlist.Circuit, fs *fsim.FaultSim, seeds []fault.StuckAt, log *tester.Datalog, evIndex map[EvidenceBit]int, numEv int, cfg Config, rec *explain.Recorder, releaseSyns bool) *scoreFolder {
+func newScoreFolder(c *netlist.Circuit, seeds []fault.StuckAt, log *tester.Datalog, evIndex map[EvidenceBit]int, numEv int, cfg Config, rec *explain.Recorder) *scoreFolder {
 	return &scoreFolder{
-		c:           c,
-		fs:          fs,
-		seeds:       seeds,
-		log:         log,
-		ev:          newEvLookup(log.NumPatterns, log.NumPOs, evIndex),
-		numEv:       numEv,
-		cfg:         cfg,
-		rec:         rec,
-		releaseSyns: releaseSyns,
-		cands:       make([]*Candidate, 0, len(seeds)/4+1),
-		classes:     make(map[string]*Candidate),
-		cov:         bitset.New(numEv),
+		c:       c,
+		seeds:   seeds,
+		log:     log,
+		ev:      newEvLookup(log.NumPatterns, log.NumPOs, evIndex),
+		numEv:   numEv,
+		cfg:     cfg,
+		rec:     rec,
+		cands:   make([]*Candidate, 0, len(seeds)/4+1),
+		classes: make(map[string]*Candidate),
+		cov:     bitset.New(numEv),
 	}
 }
 
-// fold scores seed si's syndrome. Callers must fold seeds in ascending
-// order; a nil syndrome (canceled simulation) is skipped.
-func (sf *scoreFolder) fold(si int, syn *fsim.Syndrome) {
+// fold scores syn, the syndrome of fault f, if f is the folder's next seed
+// and ignores it otherwise. Scoring streams a sorted union of several
+// devices' seed lists; each list is sorted the same way (compareFaults),
+// so it arrives as a subsequence of the union, in its own order. A nil
+// syndrome (canceled simulation) is skipped.
+func (sf *scoreFolder) fold(f fault.StuckAt, syn *fsim.Syndrome) {
+	if sf.next == len(sf.seeds) || sf.seeds[sf.next] != f {
+		return
+	}
+	sf.next++
 	if syn == nil {
 		return
 	}
-	f := sf.seeds[si]
 	sf.sigBuf = sf.sigBuf[:0]
 	for p, fails := range syn.Fails {
 		if fails == nil {
@@ -820,7 +580,6 @@ func (sf *scoreFolder) fold(si int, syn *fsim.Syndrome) {
 		if sf.rec.Enabled() { // guard: argument rendering is not free
 			sf.rec.Merged(f.String(), f.Name(sf.c), rep.Fault.String())
 		}
-		sf.releaseSyn(syn)
 		return
 	}
 	cd := &Candidate{Fault: f}
@@ -855,7 +614,6 @@ func (sf *scoreFolder) fold(si int, syn *fsim.Syndrome) {
 			}
 		}
 	}
-	sf.releaseSyn(syn)
 	cd.TFSF = sf.cov.Count()
 	if cd.TFSF == 0 {
 		// Explains nothing observable. The class entry stays (so equivalent
@@ -872,12 +630,6 @@ func (sf *scoreFolder) fold(si int, syn *fsim.Syndrome) {
 	sf.cands = append(sf.cands, cd)
 }
 
-func (sf *scoreFolder) releaseSyn(syn *fsim.Syndrome) {
-	if sf.releaseSyns {
-		sf.fs.ReleaseSyndrome(syn)
-	}
-}
-
 // finish records the survivors (classes are final only once every seed has
 // folded) and returns the scored candidates in seed order.
 func (sf *scoreFolder) finish() []*Candidate {
@@ -892,18 +644,6 @@ func (sf *scoreFolder) finish() []*Candidate {
 		}
 	}
 	return sf.cands
-}
-
-// scoreCandidates folds a fully materialized syndrome slice (indexed like
-// seeds) — the batch-diagnosis path, which must keep the shared syndromes
-// alive across devices and so never releases them. The single-device
-// engine folds incrementally through scoreFolder instead.
-func scoreCandidates(c *netlist.Circuit, syns []*fsim.Syndrome, seeds []fault.StuckAt, log *tester.Datalog, evIndex map[EvidenceBit]int, numEv int, cfg Config, rec *explain.Recorder) []*Candidate {
-	sf := newScoreFolder(c, nil, seeds, log, evIndex, numEv, cfg, rec, false)
-	for si, syn := range syns {
-		sf.fold(si, syn)
-	}
-	return sf.finish()
 }
 
 // cover greedily selects candidates to explain the evidence universe.

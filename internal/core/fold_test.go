@@ -6,8 +6,23 @@ import (
 	"strings"
 	"testing"
 
+	"multidiag/internal/explain"
+	"multidiag/internal/fault"
 	"multidiag/internal/fsim"
+	"multidiag/internal/netlist"
+	"multidiag/internal/tester"
 )
+
+// scoreCandidates folds a fully materialized syndrome slice (indexed like
+// seeds) seed by seed: the reference implementation the streaming scoring
+// pass is checked against.
+func scoreCandidates(c *netlist.Circuit, syns []*fsim.Syndrome, seeds []fault.StuckAt, log *tester.Datalog, evIndex map[EvidenceBit]int, numEv int, cfg Config, rec *explain.Recorder) []*Candidate {
+	sf := newScoreFolder(c, seeds, log, evIndex, numEv, cfg, rec)
+	for si, syn := range syns {
+		sf.fold(seeds[si], syn)
+	}
+	return sf.finish()
+}
 
 // renderCandidates canonicalizes a scored-candidate list: class
 // representative, scores, equivalence members, coverage members.
@@ -68,10 +83,11 @@ func TestChunkedFoldMatchesPerSeedScoring(t *testing.T) {
 	want := renderCandidates(scoreCandidates(c, syns, seeds, log, evIndex, len(evidence), cfg, nil))
 
 	for _, workers := range []int{1, 2, 4, 8} {
-		folder := newScoreFolder(c, fs, seeds, log, evIndex, len(evidence), cfg, nil, true)
+		folder := newScoreFolder(c, seeds, log, evIndex, len(evidence), cfg, nil)
 		fs.SimulateStuckAtChunksCtx(context.Background(), seeds, workers, func(start int, chunk []*fsim.Syndrome) {
 			for i, syn := range chunk {
-				folder.fold(start+i, syn)
+				folder.fold(seeds[start+i], syn)
+				fs.ReleaseSyndrome(syn)
 			}
 		})
 		if got := renderCandidates(folder.finish()); got != want {

@@ -28,56 +28,45 @@ import (
 // Accepted bridge models are appended to the member's Models list (best
 // first by mispredictions); the seed stuck/open model always remains, since
 // logic-level behaviour cannot always separate the mechanisms.
-func refineModels(c *netlist.Circuit, fs *fsim.FaultSim, multiplet []*Candidate, log *tester.Datalog, evIndex map[EvidenceBit]int, cfg Config, reg *obs.Registry, rec *explain.Recorder) {
-	if len(multiplet) == 0 {
-		return
+//
+// Members are independent victims writing only their own Models list, so
+// they shard across goroutines, each with a private re-simulator. The
+// recorder hears every member's fit afterwards, in multiplet order.
+func refineModels(c *netlist.Circuit, fs *fsim.FaultSim, multiplet []*Candidate, evIndex map[EvidenceBit]int, cfg Config, reg *obs.Registry, rec *explain.Recorder) {
+	fits := make([][]explain.ModelFit, len(multiplet))
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < min(fsim.Workers(cfg.Workers), len(multiplet)); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			s := sim.New(c)
+			for i := int(next.Add(1)) - 1; i < len(multiplet); i = int(next.Add(1)) - 1 {
+				fits[i] = refineMember(c, fs, s, multiplet[i], evIndex, cfg, reg, rec.Enabled())
+			}
+		}()
 	}
-	// Members are independent victims writing only their own Models list,
-	// so they shard across goroutines (each with a private re-simulator).
-	// The recorder path stays sequential: refine events must arrive in
-	// multiplet order.
-	workers := fsim.Workers(cfg.Workers)
-	if workers > len(multiplet) {
-		workers = len(multiplet)
-	}
-	if workers > 1 && !rec.Enabled() {
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				s := sim.New(c)
-				for {
-					i := int(next.Add(1)) - 1
-					if i >= len(multiplet) {
-						return
-					}
-					refineMember(c, fs, s, multiplet[i], evIndex, cfg, reg, nil)
-				}
-			}()
+	wg.Wait()
+	if rec.Enabled() {
+		for i, cd := range multiplet {
+			rec.Refine(cd.Fault.String(), cd.Name(c), fits[i], explain.VerdictScored)
 		}
-		wg.Wait()
-		return
-	}
-	s := sim.New(c)
-	for _, cd := range multiplet {
-		refineMember(c, fs, s, cd, evIndex, cfg, reg, rec)
 	}
 }
 
-// refineMember runs the aggressor search for one multiplet member.
-func refineMember(c *netlist.Circuit, fs *fsim.FaultSim, s *sim.Simulator, cd *Candidate, evIndex map[EvidenceBit]int, cfg Config, reg *obs.Registry, rec *explain.Recorder) {
+// refineMember runs the aggressor search for one multiplet member. With
+// attribute set it returns the member's model fits for the recorder.
+func refineMember(c *netlist.Circuit, fs *fsim.FaultSim, s *sim.Simulator, cd *Candidate, evIndex map[EvidenceBit]int, cfg Config, reg *obs.Registry, attribute bool) []explain.ModelFit {
 	tested := reg.Counter("core.bridge_aggressors_tested")
 	accepted := reg.Counter("core.bridge_models_accepted")
 	force := make(map[netlist.NetID]logic.PV64, 1)
 	victim := cd.Fault.Net
 	aggressors := bridgeAggressors(c, victim, cfg)
 	if len(aggressors) == 0 {
-		if rec.Enabled() {
-			rec.Refine(cd.Fault.String(), cd.Name(c), stuckModelFit(cd), explain.VerdictScored)
+		if attribute {
+			return stuckModelFit(cd)
 		}
-		return
+		return nil
 	}
 	tested.Add(int64(len(aggressors)))
 	type fit struct {
@@ -119,26 +108,27 @@ func refineMember(c *netlist.Circuit, fs *fsim.FaultSim, s *sim.Simulator, cd *C
 	sort.SliceStable(cd.Models, func(i, j int) bool {
 		return cd.Models[i].Mispredictions < cd.Models[j].Mispredictions
 	})
-	if rec.Enabled() {
-		// Report the refined model list in ranked order, carrying the
-		// bridgeFit coverage statistic for each accepted aggressor.
-		covByAggr := make(map[netlist.NetID]int, len(fits))
-		for _, f := range fits {
-			covByAggr[f.aggr] = f.covered
-		}
-		mf := make([]explain.ModelFit, 0, len(cd.Models))
-		for _, m := range cd.Models {
-			switch m.Kind {
-			case BridgeModel:
-				mf = append(mf, explain.ModelFit{Kind: m.Kind.String(),
-					Aggressor: c.NameOf(m.Aggressor), Covered: covByAggr[m.Aggressor], Mispred: m.Mispredictions})
-			default:
-				mf = append(mf, explain.ModelFit{Kind: m.Kind.String(),
-					Covered: cd.TFSF, Mispred: m.Mispredictions})
-			}
-		}
-		rec.Refine(cd.Fault.String(), cd.Name(c), mf, explain.VerdictScored)
+	if !attribute {
+		return nil
 	}
+	// Report the refined model list in ranked order, carrying the
+	// bridgeFit coverage statistic for each accepted aggressor.
+	covByAggr := make(map[netlist.NetID]int, len(fits))
+	for _, f := range fits {
+		covByAggr[f.aggr] = f.covered
+	}
+	mf := make([]explain.ModelFit, 0, len(cd.Models))
+	for _, m := range cd.Models {
+		switch m.Kind {
+		case BridgeModel:
+			mf = append(mf, explain.ModelFit{Kind: m.Kind.String(),
+				Aggressor: c.NameOf(m.Aggressor), Covered: covByAggr[m.Aggressor], Mispred: m.Mispredictions})
+		default:
+			mf = append(mf, explain.ModelFit{Kind: m.Kind.String(),
+				Covered: cd.TFSF, Mispred: m.Mispredictions})
+		}
+	}
+	return mf
 }
 
 // stuckModelFit renders a candidate's models as explain fit records when

@@ -84,23 +84,15 @@ func (fs *FaultSim) Fork() *FaultSim {
 	}
 }
 
-// SimulateStuckAtBatch simulates every fault in the list and returns their
-// syndromes in input order: out[i] corresponds to faults[i]. See
-// SimulateStuckAtBatchCtx.
+// SimulateStuckAtBatch simulates every fault and returns the syndromes in
+// input order (out[i] corresponds to faults[i]), sharding chunks of the
+// list across min(workers, len(faults)) goroutines (workers ≤ 0 selects
+// GOMAXPROCS; 1 runs inline on the receiver). The syndromes are
+// arena-backed: callers that fold and discard them should hand each back
+// via ReleaseSyndrome.
 func (fs *FaultSim) SimulateStuckAtBatch(faults []fault.StuckAt, workers int) []*Syndrome {
-	return fs.SimulateStuckAtBatchCtx(context.Background(), faults, workers)
-}
-
-// SimulateStuckAtBatchCtx simulates every fault and returns the syndromes
-// in input order, sharding chunks of the list across min(workers,
-// len(faults)) goroutines (workers ≤ 0 selects GOMAXPROCS; 1 runs inline
-// on the receiver). On cancellation the returned slice is partial
-// (unsimulated entries are nil); callers observe ctx.Err() to distinguish
-// that from a complete run. The syndromes are arena-backed: callers that
-// fold and discard them should hand each back via ReleaseSyndrome.
-func (fs *FaultSim) SimulateStuckAtBatchCtx(ctx context.Context, faults []fault.StuckAt, workers int) []*Syndrome {
 	out := make([]*Syndrome, len(faults))
-	fs.SimulateStuckAtChunksCtx(ctx, faults, workers, func(start int, syns []*Syndrome) {
+	fs.SimulateStuckAtChunksCtx(context.Background(), faults, workers, func(start int, syns []*Syndrome) {
 		copy(out[start:], syns)
 	})
 	return out

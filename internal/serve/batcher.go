@@ -39,6 +39,12 @@ type request struct {
 	queueSpan trace.Span
 }
 
+// newRequest builds a request stamped as enqueued now; an unknown body
+// size (negative Content-Length) counts as zero bytes.
+func newRequest(ctx context.Context, log *tester.Datalog, top int, bytes int64) *request {
+	return &request{ctx: ctx, log: log, top: top, bytes: max(bytes, 0), enqueued: time.Now(), done: make(chan response, 1)}
+}
+
 type response struct {
 	report *Report
 	status int
@@ -54,9 +60,9 @@ type response struct {
 // whatever else is already queued; only if that found company does it
 // linger (up to MaxWait) for stragglers. An isolated request therefore
 // pays zero added latency, while a burst coalesces into one
-// core.DiagnoseBatch scoring pass. Explained requests run solo — the
-// flight recorder narrates exactly one diagnosis — and are set aside
-// during batch assembly.
+// core.DiagnoseBatch scoring pass. Explained requests are set aside
+// during batch assembly and run as a batch of one — the flight recorder
+// narrates exactly one diagnosis.
 func (s *Server) batcher(w *workload) {
 	defer s.batchers.Done()
 	for {
@@ -162,20 +168,10 @@ func (s *Server) execute(w *workload, batch []*request) {
 	s.reg.Counter("serve.batches").Inc()
 	s.reg.Histogram("serve.batch_size").Observe(int64(len(live)))
 
-	cfg := core.Config{
-		Workers:   s.cfg.Workers,
-		ConeCache: w.shared.Cache,
-		SharedSim: w.sim,
-		Trace:     s.tr,
-	}
 	start := time.Now()
-	if len(live) == 1 {
-		s.executeOne(w, live[0], cfg)
-	} else {
-		s.executeBatch(w, live, cfg)
-	}
+	s.diagnose(w, live)
 	// The batch's service time is exemplified by the leader's trace — the
-	// tree the coalesced engine spans landed in.
+	// tree the engine spans landed in.
 	s.reg.Histogram("serve.service_us").ObserveNEx(time.Since(start).Microseconds(), int64(len(live)), exemplarID(live[0]))
 }
 
@@ -188,51 +184,33 @@ func exemplarID(r *request) string {
 	return r.tree.TraceID().String()
 }
 
-// executeOne serves a solo request, optionally with the flight recorder
-// attached for an inline narrative.
-func (s *Server) executeOne(w *workload, r *request, cfg core.Config) {
+// diagnose runs the batch through one core.DiagnoseBatch pass under a
+// context that stays live while any member still wants its answer. A
+// batch of one explained request runs with the flight recorder attached
+// and answers with an inline narrative.
+func (s *Server) diagnose(w *workload, batch []*request) {
+	cfg := core.Config{
+		Workers:   s.cfg.Workers,
+		ConeCache: w.shared.Cache,
+		SharedSim: w.sim,
+		Trace:     s.tr,
+	}
 	var rec *explain.Recorder
-	if r.explain {
+	if len(batch) == 1 && batch[0].explain {
 		rec = explain.New("serve/" + w.name)
 		cfg.Explain = rec
 	}
-	esp := r.span.Start("serve.execute")
-	pctx, unlabel := prof.WithWorkload(r.ctx, w.name)
-	res, err := core.DiagnoseCtx(trace.WithSpan(pctx, esp), w.c, w.pats, r.log, cfg)
-	unlabel()
-	esp.End()
-	var events []explain.Event
-	if rec != nil {
-		events, _ = rec.Events()
-	}
-	if err != nil {
-		r.done <- response{status: engineStatus(err), err: err, events: events}
-		return
-	}
-	rep := s.buildResponse(w, r, res, 1)
-	if rec != nil {
-		var b strings.Builder
-		if err := explain.RenderNarrative(&b, events, 10); err == nil {
-			rep.Explain = b.String()
-		}
-	}
-	r.done <- response{report: rep, status: http.StatusOK, events: events}
-}
-
-// executeBatch coalesces the batch into one core.DiagnoseBatch pass under
-// a context that stays live while any member still wants its answer.
-func (s *Server) executeBatch(w *workload, batch []*request, cfg core.Config) {
 	logs := make([]*tester.Datalog, len(batch))
 	for i, r := range batch {
 		logs[i] = r.log
 	}
 	ctx, cancel := mergedContext(batch)
 	defer cancel()
-	// Coalesced engine spans land in ONE tree — the leader's (batch[0]) —
-	// under its "serve.execute" span; a multi-tree tee would double-count
-	// every phase. Followers get a "serve.execute.coalesced" span carrying
-	// the leader's trace ID, so their trees point at where the engine time
-	// is attributed.
+	// Engine spans land in ONE tree — the leader's (batch[0]) — under its
+	// "serve.execute" span; a multi-tree tee would double-count every
+	// phase. Followers get a "serve.execute.coalesced" span carrying the
+	// leader's trace ID, so their trees point at where the engine time is
+	// attributed.
 	leader := batch[0]
 	esp := leader.span.Start("serve.execute")
 	esp.SetInt("batch_size", int64(len(batch)))
@@ -248,18 +226,27 @@ func (s *Server) executeBatch(w *workload, batch []*request, cfg core.Config) {
 	results, errs, err := core.DiagnoseBatch(trace.WithSpan(pctx, esp), w.c, w.pats, logs, cfg)
 	unlabel()
 	esp.End()
+	var events []explain.Event
+	if rec != nil {
+		events, _ = rec.Events()
+	}
 	for i, r := range batch {
-		switch {
-		case err != nil && results[i] == nil && errs[i] == nil:
-			// Whole-batch failure (cancellation) before this member's turn.
-			r.done <- response{status: engineStatus(err), err: err}
-		case errs[i] != nil:
-			r.done <- response{status: engineStatus(errs[i]), err: errs[i]}
-		case results[i] != nil:
-			r.done <- response{report: s.buildResponse(w, r, results[i], len(batch)), status: http.StatusOK}
-		default:
-			r.done <- response{status: http.StatusInternalServerError, err: fmt.Errorf("no result for batch member %d", i)}
+		if results[i] == nil {
+			e := errs[i]
+			if e == nil {
+				e = err // the pass failed (cancellation) before this member finished
+			}
+			r.done <- response{status: engineStatus(e), err: e, events: events}
+			continue
 		}
+		rep := s.buildResponse(w, r, results[i], len(batch))
+		if rec != nil {
+			var b strings.Builder
+			if err := explain.RenderNarrative(&b, events, 10); err == nil {
+				rep.Explain = b.String()
+			}
+		}
+		r.done <- response{report: rep, status: http.StatusOK, events: events}
 	}
 }
 
@@ -299,8 +286,12 @@ func isCanceled(err error) bool {
 // mergedContext derives a context canceled once every member context is
 // done (or when the returned cancel runs): a straggler canceling its
 // request must not kill the scoring pass the rest of the batch is
-// waiting on, but a fully abandoned batch should stop simulating.
+// waiting on, but a fully abandoned batch should stop simulating. A batch
+// of one runs under its own request's context.
 func mergedContext(batch []*request) (context.Context, context.CancelFunc) {
+	if len(batch) == 1 {
+		return batch[0].ctx, func() {}
+	}
 	ctx, cancel := context.WithCancel(context.Background())
 	var remaining atomic.Int64
 	remaining.Store(int64(len(batch)))

@@ -8,7 +8,6 @@ import (
 	"io"
 	"net/http"
 	"sync"
-	"time"
 
 	"multidiag/internal/tester"
 	"multidiag/internal/trace"
@@ -61,14 +60,7 @@ func (e *shedError) Error() string {
 func (s *Server) volumeDiag(w *workload) volume.DiagFunc {
 	return func(ctx context.Context, log *tester.Datalog) (*volume.Report, error) {
 		bytes, _ := ctx.Value(ingestBytesKey{}).(int64)
-		req := &request{
-			ctx:      ctx,
-			log:      log,
-			top:      ingestTop,
-			bytes:    bytes,
-			enqueued: time.Now(),
-			done:     make(chan response, 1),
-		}
+		req := newRequest(ctx, log, ingestTop, bytes)
 		if sc := trace.FromContext(ctx); sc.Enabled() {
 			req.tree = sc.Tree()
 			req.span = sc.Start("serve.ingest.diagnose")

@@ -509,21 +509,8 @@ func (s *Server) handleDiagnose(rw http.ResponseWriter, r *http.Request) {
 	tree, root := s.startTrace(rw, r, "/v1/diagnose", dr.Workload)
 	ctx, cancel := s.requestContext(trace.WithSpan(r.Context(), root), dr.TimeoutMS)
 	defer cancel()
-	req := &request{
-		ctx:      ctx,
-		log:      log,
-		top:      top,
-		explain:  dr.Explain,
-		bytes:    r.ContentLength,
-		enqueued: time.Now(),
-		done:     make(chan response, 1),
-		reqID:    r.Header.Get("X-Request-ID"),
-		tree:     tree,
-		span:     root,
-	}
-	if req.bytes < 0 {
-		req.bytes = 0
-	}
+	req := newRequest(ctx, log, top, r.ContentLength)
+	req.explain, req.reqID, req.tree, req.span = dr.Explain, r.Header.Get("X-Request-ID"), tree, root
 	// The queue span opens before admission so the batcher can never
 	// dequeue a request whose queueSpan is still being assigned.
 	req.queueSpan = root.Start("serve.queue")
@@ -607,25 +594,14 @@ func (s *Server) handleBatch(rw http.ResponseWriter, r *http.Request) {
 	// every bundle from this batch carries the complete trace.
 	var pending []pendingIncident
 	bytes := r.ContentLength
-	if bytes < 0 {
-		bytes = 0
-	}
 	for i, dev := range br.Devices {
 		log, err := buildDatalog(w.c, len(w.pats), dev.Datalog, dev.Response)
 		if err != nil {
 			results[i] = DeviceResult{Status: http.StatusBadRequest, Error: fmt.Sprintf("device %d: %v", i, err)}
 			continue
 		}
-		req := &request{
-			ctx:      ctx,
-			log:      log,
-			top:      top,
-			bytes:    bytes,
-			enqueued: time.Now(),
-			done:     make(chan response, 1),
-			reqID:    reqID,
-			tree:     tree,
-		}
+		req := newRequest(ctx, log, top, bytes)
+		req.reqID, req.tree = reqID, tree
 		req.span = root.Start("serve.device")
 		req.span.SetInt("device", int64(i))
 		req.queueSpan = req.span.Start("serve.queue")

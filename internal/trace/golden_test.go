@@ -77,7 +77,7 @@ func TestTraceJSONLGolden(t *testing.T) {
 func TestGoldenRoundtrips(t *testing.T) {
 	f, err := os.Open(filepath.Join("testdata", "tree_golden.jsonl"))
 	if err != nil {
-		t.Skip("golden missing")
+		t.Fatalf("golden missing (regenerate with UPDATE_GOLDEN=1): %v", err)
 	}
 	defer f.Close()
 	recs, err := ReadTrees(f)
